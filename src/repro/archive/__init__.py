@@ -9,8 +9,8 @@ reproduction's one-off snapshots into a managed, servable dump archive:
   bulk-load path (several times faster than the v1 gzip-JSON dump);
 - :mod:`repro.archive.manager` — :class:`SnapshotArchive`, a directory
   of dated snapshots with a JSON manifest, checksum dedup, integrity
-  verification, retention, and per-entry deltas from
-  :mod:`repro.core.diff`;
+  verification, retention, and per-entry delta counts from
+  :func:`repro.core.diff.snapshot_diff`;
 - :mod:`repro.archive.watcher` — a polling thread that hot-swaps a
   running query service to each new archive entry.
 

@@ -6,8 +6,9 @@ those dumps a manual, multi-instance chore.  :class:`SnapshotArchive`
 is the missing management layer: a directory of snapshots plus a JSON
 manifest recording, per entry, the format version, a SHA-256 checksum,
 node/relationship counts, build metadata from the pipeline's
-``BuildReport``, and the identity-level delta against the previous
-entry (computed with :mod:`repro.core.diff`).
+``BuildReport``, and the per-group record counts of the identity-level
+delta against the previous entry (:func:`repro.core.diff.snapshot_diff`
+for full entries, the archived batch for delta entries).
 
 Because snapshot bytes are deterministic, the archive deduplicates by
 checksum: archiving a store whose bytes match an existing entry records
@@ -29,13 +30,17 @@ from repro.archive.format import (
     is_v2_snapshot,
     read_meta,
 )
-from repro.core.diff import snapshot_diff
 from repro.graphdb.snapshot import load_snapshot, save_snapshot
 from repro.graphdb.store import GraphStore
 from repro.obs import utc_timestamp
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+
+
+def _delta_field(vs: str, batch: Any) -> dict[str, Any]:
+    """A manifest entry's ``delta``: the base label plus batch counts."""
+    return {"vs": vs, "identical": batch.empty, **batch.counts()}
 
 
 def _sha256(path: Path) -> str:
@@ -171,8 +176,8 @@ class SnapshotArchive:
         The snapshot is written to a temporary file first; if its
         checksum matches an existing entry the new entry shares that
         file (checksum dedup).  With ``delta`` (the default) the
-        identity-level diff summary against the current latest entry is
-        computed and stored on the new entry.  ``analytics`` (a
+        per-group counts of the identity-level diff against the current
+        latest entry are stored on the new entry.  ``analytics`` (a
         serialized :class:`repro.analytics.AnalyticsReport`) is stored
         verbatim on the manifest entry; snapshot bytes and checksums are
         unaffected.  ``created_at`` defaults to the current UTC time —
@@ -196,16 +201,15 @@ class SnapshotArchive:
             tmp.replace(self.root / filename)
         delta_record = None
         if delta and entries:
+            from repro.core.diff import snapshot_diff
+            from repro.delta.records import DeltaBatch
+
             previous = entries[-1]
             if previous.checksum == checksum:
-                delta_record = {"vs": previous.label, "identical": True}
+                batch = DeltaBatch()
             else:
-                diff = snapshot_diff(self.load(previous.label), store)
-                delta_record = {
-                    "vs": previous.label,
-                    "identical": diff.unchanged,
-                    **diff.summary(),
-                }
+                batch = snapshot_diff(self.load(previous.label), store)
+            delta_record = _delta_field(previous.label, batch)
         entry = ArchiveEntry(
             label=label,
             filename=filename,
@@ -279,8 +283,7 @@ class SnapshotArchive:
             relationships=store.relationship_count,
             created_at=created_at,
             build=dict(build) if build is not None else None,
-            delta={"vs": base_entry.label, "identical": batch.empty,
-                   **batch.counts()},
+            delta=_delta_field(base_entry.label, batch),
             analytics=dict(analytics) if analytics is not None else None,
             kind="delta",
             base=base_entry.label,
@@ -518,11 +521,12 @@ class SnapshotArchive:
 
     # -- diffing -----------------------------------------------------------
 
-    def diff(self, old_selector: str, new_selector: str):
-        """Identity-level :class:`~repro.core.diff.GraphDiff` of two entries."""
-        old = self.load(old_selector)
-        new = self.load(new_selector)
-        return snapshot_diff(old, new)
+    def diff(self, old_selector: str, new_selector: str) -> Any:
+        """Identity-level diff of two entries, as a
+        :class:`~repro.delta.records.DeltaBatch`."""
+        from repro.core.diff import snapshot_diff
+
+        return snapshot_diff(self.load(old_selector), self.load(new_selector))
 
     def is_v2(self, entry: ArchiveEntry) -> bool:
         return entry.format == 2 and is_v2_snapshot(self.path(entry))

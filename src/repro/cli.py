@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.core import IYP
@@ -306,56 +307,59 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_diff(diff, verbose: bool) -> None:
-    """Shared rendering for ``repro diff`` and ``repro archive diff``."""
-    summary = diff.summary()
-    for section, counts in summary.items():
-        if not counts:
-            continue
-        print(f"{section}:")
-        for token, count in counts.items():
+def _describe_key(key: dict) -> str:
+    if "type" in key:
+        return (f"{_describe_key(key['start'])}-[:{key['type']} "
+                f"{key['dataset']!r}]->{_describe_key(key['end'])}")
+    return f"(:{key['label']} {{{key['prop']}: {key['value']!r}}})"
+
+
+def _print_diff(batch, verbose: bool) -> None:
+    """Shared rendering of a diff batch for ``repro diff`` and
+    ``repro archive diff``: per-group counts by label / relationship
+    type, and with ``verbose`` the group's first 20 records."""
+    groups: dict[str, list[dict]] = {}
+    for record in batch:
+        groups.setdefault(f"{record['entity']}_{record['op']}s", []).append(record)
+    marks = {"create": "+", "delete": "-", "update": "~"}
+    for group, records in groups.items():
+        print(f"{group}:")
+        counts = Counter(record["key"].get("label") or record["key"]["type"]
+                         for record in records)
+        for token, count in sorted(counts.items()):
             print(f"  {token:<30} {count:>8,}")
-    if verbose:
-        for key in diff.nodes_added[:20]:
-            print(f"+ node {key}")
-        for key in diff.nodes_removed[:20]:
-            print(f"- node {key}")
-        for key, changes in diff.nodes_modified[:20]:
-            print(f"~ node {key}")
-            for prop, (before, after) in sorted(changes.items()):
-                print(f"    .{prop}: {before!r} -> {after!r}")
-        for key, changes in diff.relationships_modified[:20]:
-            print(f"~ rel {key}")
-            for prop, (before, after) in sorted(changes.items()):
-                print(f"    .{prop}: {before!r} -> {after!r}")
+        if not verbose:
+            continue
+        for record in records[:20]:
+            print(f"  {marks[record['op']]} {_describe_key(record['key'])}")
+            for prop, (before, after) in record.get("changes", {}).items():
+                print(f"      .{prop}: {before!r} -> {after!r}")
+            for label in record.get("add_labels", ()):
+                print(f"      +:{label}")
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     """Diff two snapshots by entity identity (longitudinal workflow).
 
+    The diff is an ordered delta batch — the exact record format
+    ``GraphStore.apply_delta`` replays and the archive's binary delta
+    entries carry.  ``--format json`` emits it whole, so scripts can turn
+    any two snapshots into a shippable delta; text renders its counts.
     With ``--exit-code`` the command exits 1 when the snapshots differ,
-    so CI can use it as a serialization-regression tripwire.  With
-    ``--format json`` the diff is emitted as an ordered delta batch —
-    the exact record format ``GraphStore.apply_delta`` replays and the
-    archive's binary delta entries carry — so scripts can turn any two
-    snapshots into a shippable delta.
+    so CI can use it as a serialization-regression tripwire.
     """
     from repro.core.diff import snapshot_diff
 
-    old = load_snapshot(args.old)
-    new = load_snapshot(args.new)
-    diff = snapshot_diff(old, new)
+    batch = snapshot_diff(load_snapshot(args.old), load_snapshot(args.new))
     if args.format == "json":
-        from repro.delta import delta_from_diff, delta_to_json
+        from repro.delta import delta_to_json
 
-        batch = delta_from_diff(old, new, diff)
         print(delta_to_json(batch))
-        return 1 if args.exit_code and not batch.empty else 0
-    if diff.unchanged:
+    elif batch.empty:
         print("snapshots are identical (by entity identity)")
-        return 0
-    _print_diff(diff, args.verbose)
-    return 1 if args.exit_code else 0
+    else:
+        _print_diff(batch, args.verbose)
+    return 1 if args.exit_code and not batch.empty else 0
 
 
 def cmd_inventory(_args: argparse.Namespace) -> int:
@@ -855,14 +859,14 @@ def cmd_archive_diff(args: argparse.Namespace) -> int:
     """Diff two archived snapshots by entity identity."""
     archive = _open_archive(args)
     try:
-        diff = archive.diff(args.old, args.new)
+        batch = archive.diff(args.old, args.new)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if diff.unchanged:
+    if batch.empty:
         print(f"{args.old} and {args.new} are identical (by entity identity)")
         return 0
-    _print_diff(diff, args.verbose)
+    _print_diff(batch, args.verbose)
     return 1 if args.exit_code else 0
 
 

@@ -10,7 +10,7 @@ heterogeneous datasets into one harmonized property graph:
 - uniqueness constraints and indexes are derived from the ontology.
 """
 
-from repro.core.diff import GraphDiff, snapshot_diff
+from repro.core.diff import snapshot_diff
 from repro.core.iyp import IYP, Reference
 
-__all__ = ["GraphDiff", "IYP", "Reference", "snapshot_diff"]
+__all__ = ["IYP", "Reference", "snapshot_diff"]

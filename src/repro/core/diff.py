@@ -6,166 +6,117 @@ is the first tool that workflow needs: it compares two stores by
 *identity* (the ontology's key properties), not by internal node ids,
 so two independently built snapshots are comparable.
 
-Three kinds of change are reported: entities present on only one side
-(added/removed), and entities present on both sides whose *properties*
-changed (modified) — each modification carries the per-property
-``(before, after)`` pairs, so a longitudinal run can tell "this AS got
-renamed" from "this AS appeared".
+The diff is a :class:`~repro.delta.records.DeltaBatch` — the same
+ordered, identity-addressed records the incremental build ships — so
+applying it to the old store yields one identity-equivalent to the new.
+Entities present on one side only are creates or deletes; entities
+present on both sides whose properties changed are updates carrying the
+per-property ``[before, after]`` pairs, so a longitudinal run can tell
+"this AS got renamed" from "this AS appeared"; labels gained by a
+surviving node ride on its update as ``add_labels``.
+
+This O(world) pass is the oracle the O(changes) changelog extractor
+(:func:`repro.delta.extract.delta_from_changelog`) is fuzzed against,
+so the two share only the record helpers, never extraction logic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from repro.delta.records import (
+    DeltaBatch,
+    DeltaError,
+    identify,
+    node_key,
+    property_changes,
+    record_order_key,
+    rel_key,
+)
+from repro.graphdb.interface import GraphReadStore
 from repro.graphdb.model import Node
-from repro.graphdb.store import GraphStore
-from repro.ontology import ENTITIES
 
-NodeKey = tuple[str, Any]  # (label, identifying value)
-RelKey = tuple[NodeKey, str, NodeKey, str]  # start, type, end, dataset
-
-#: property name -> (before, after); absent sides are None.
-PropChanges = dict[str, tuple[Any, Any]]
+NodeIdent = tuple[str, str, Any]  # label, key property, value
+RelIdent = tuple[NodeIdent, str, NodeIdent, str]  # start, type, end, dataset
 
 
-@dataclass
-class GraphDiff:
-    """Structural differences between two snapshots."""
-
-    nodes_added: list[NodeKey] = field(default_factory=list)
-    nodes_removed: list[NodeKey] = field(default_factory=list)
-    relationships_added: list[RelKey] = field(default_factory=list)
-    relationships_removed: list[RelKey] = field(default_factory=list)
-    nodes_modified: list[tuple[NodeKey, PropChanges]] = field(default_factory=list)
-    relationships_modified: list[tuple[RelKey, PropChanges]] = field(
-        default_factory=list
-    )
-
-    @property
-    def unchanged(self) -> bool:
-        return not (
-            self.nodes_added
-            or self.nodes_removed
-            or self.relationships_added
-            or self.relationships_removed
-            or self.nodes_modified
-            or self.relationships_modified
-        )
-
-    def summary(self) -> dict[str, dict[str, int]]:
-        """Counts per label / relationship type."""
-
-        def count_by(keys, index):
-            counts: dict[str, int] = {}
-            for key in keys:
-                token = key[index] if index is not None else key
-                counts[token] = counts.get(token, 0) + 1
-            return dict(sorted(counts.items()))
-
-        return {
-            "nodes_added": count_by(self.nodes_added, 0),
-            "nodes_removed": count_by(self.nodes_removed, 0),
-            "nodes_modified": count_by(
-                [key for key, _ in self.nodes_modified], 0
-            ),
-            "relationships_added": count_by(
-                [key[1] for key in self.relationships_added], None
-            ),
-            "relationships_removed": count_by(
-                [key[1] for key in self.relationships_removed], None
-            ),
-            "relationships_modified": count_by(
-                [key[1] for key, _ in self.relationships_modified], None
-            ),
-        }
-
-
-def node_identity(node: Node) -> NodeKey | None:
-    """The (label, value) identity of a node, or None if unidentifiable."""
-    for label in sorted(node.labels):
-        definition = ENTITIES.get(label)
-        if definition is None:
-            continue
-        value = node.properties.get(definition.key_properties[0])
-        if value is not None:
-            return (label, value)
-    return None
-
-
-def property_changes(
-    old: dict[str, Any], new: dict[str, Any]
-) -> PropChanges:
-    """Per-key differences between two property maps.
-
-    Mirrors the store's update semantics: a value counts as changed when
-    it differs by equality *or* by type (``True`` vs ``1`` is a change).
-    Keys present on one side only report ``None`` for the other.
-    """
-    changes: PropChanges = {}
-    for key in old.keys() | new.keys():
-        before, after = old.get(key), new.get(key)
-        if before != after or type(before) is not type(after):
-            changes[key] = (before, after)
-    return changes
-
-
-def _node_keys(store: GraphStore) -> dict[int, NodeKey]:
-    keys: dict[int, NodeKey] = {}
+def _entities(
+    store: GraphReadStore,
+) -> tuple[dict[NodeIdent, tuple[dict[str, Any], Node]],
+           dict[RelIdent, dict[str, Any]]]:
+    """Identifiable nodes (ident -> (key, node)) and relationships
+    (ident -> properties); on a duplicate identity the first one wins."""
+    nodes: dict[NodeIdent, tuple[dict[str, Any], Node]] = {}
+    idents: dict[int, NodeIdent] = {}
     for node in store.iter_nodes():
-        identity = node_identity(node)
-        if identity is not None:
-            keys[node.id] = identity
-    return keys
-
-
-def _nodes_by_key(store: GraphStore, node_keys: dict[int, NodeKey]
-                  ) -> dict[NodeKey, Node]:
-    by_key: dict[NodeKey, Node] = {}
-    for node in store.iter_nodes():
-        key = node_keys.get(node.id)
-        if key is not None and key not in by_key:
-            by_key[key] = node
-    return by_key
-
-
-def _rel_keys(store: GraphStore, node_keys: dict[int, NodeKey]
-              ) -> dict[RelKey, dict[str, Any]]:
-    keys: dict[RelKey, dict[str, Any]] = {}
+        key = identify(node.labels, node.properties)
+        if key is not None:
+            ident = (key["label"], key["prop"], key["value"])
+            idents[node.id] = ident
+            nodes.setdefault(ident, (key, node))
+    rels: dict[RelIdent, dict[str, Any]] = {}
     for rel in store.iter_relationships():
-        start = node_keys.get(rel.start_id)
-        end = node_keys.get(rel.end_id)
-        if start is None or end is None:
+        start, end = idents.get(rel.start_id), idents.get(rel.end_id)
+        if start is not None and end is not None:
+            dataset = rel.properties.get("reference_name", "")
+            rels.setdefault((start, rel.type, end, dataset), rel.properties)
+    return nodes, rels
+
+
+def _rel_key(ident: RelIdent) -> dict[str, Any]:
+    start, rel_type, end, dataset = ident
+    return rel_key(node_key(*start), rel_type, node_key(*end), dataset)
+
+
+def snapshot_diff(old: GraphReadStore, new: GraphReadStore) -> DeltaBatch:
+    """Compare two snapshots by entity identity, as an ordered batch.
+
+    Raises :class:`~repro.delta.records.DeltaError` when a key property
+    or a relationship's ``reference_name`` changed type under an equal
+    value — an identity change no update record can express.  A label
+    removed from a surviving node is not reported: the record format
+    has no remove-label operation.
+    """
+    old_nodes, old_rels = _entities(old)
+    new_nodes, new_rels = _entities(new)
+    records: list[dict[str, Any]] = [
+        {"op": "delete", "entity": "rel", "key": _rel_key(ident)}
+        for ident in old_rels.keys() - new_rels.keys()
+    ]
+    records += [
+        {"op": "delete", "entity": "node", "key": key}
+        for ident, (key, _node) in old_nodes.items() if ident not in new_nodes
+    ]
+    for ident, (key, node) in new_nodes.items():
+        if ident not in old_nodes:
+            records.append({"op": "create", "entity": "node", "key": key,
+                            "labels": sorted(node.labels),
+                            "properties": dict(node.properties)})
             continue
-        dataset = rel.properties.get("reference_name", "")
-        keys.setdefault((start, rel.type, end, dataset), rel.properties)
-    return keys
-
-
-def snapshot_diff(old: GraphStore, new: GraphStore) -> GraphDiff:
-    """Compare two snapshots by entity identity."""
-    old_nodes = _node_keys(old)
-    new_nodes = _node_keys(new)
-    old_set = set(old_nodes.values())
-    new_set = set(new_nodes.values())
-    diff = GraphDiff(
-        nodes_added=sorted(new_set - old_set, key=repr),
-        nodes_removed=sorted(old_set - new_set, key=repr),
-    )
-    old_by_key = _nodes_by_key(old, old_nodes)
-    new_by_key = _nodes_by_key(new, new_nodes)
-    for key in sorted(old_set & new_set, key=repr):
-        changes = property_changes(
-            old_by_key[key].properties, new_by_key[key].properties
-        )
+        before = old_nodes[ident][1]
+        changes = property_changes(before.properties, node.properties)
+        if key["prop"] in changes:
+            raise DeltaError(f"key property mutation on {key!r} "
+                             "cannot be expressed as a delta update")
+        added = sorted(set(node.labels) - set(before.labels))
+        if changes or added:
+            record = {"op": "update", "entity": "node", "key": key,
+                      "changes": changes}
+            if added:
+                record["add_labels"] = added
+            records.append(record)
+    for ident, properties in new_rels.items():
+        if ident not in old_rels:
+            records.append({"op": "create", "entity": "rel",
+                            "key": _rel_key(ident),
+                            "properties": dict(properties)})
+            continue
+        changes = property_changes(old_rels[ident], properties)
+        if "reference_name" in changes:
+            raise DeltaError(f"reference_name mutation on {ident!r} "
+                             "cannot be expressed as a delta update")
         if changes:
-            diff.nodes_modified.append((key, changes))
-    old_rels = _rel_keys(old, old_nodes)
-    new_rels = _rel_keys(new, new_nodes)
-    diff.relationships_added = sorted(new_rels.keys() - old_rels.keys(), key=repr)
-    diff.relationships_removed = sorted(old_rels.keys() - new_rels.keys(), key=repr)
-    for key in sorted(old_rels.keys() & new_rels.keys(), key=repr):
-        changes = property_changes(old_rels[key], new_rels[key])
-        if changes:
-            diff.relationships_modified.append((key, changes))
-    return diff
+            records.append({"op": "update", "entity": "rel",
+                            "key": _rel_key(ident), "changes": changes})
+    records.sort(key=record_order_key)
+    return DeltaBatch(records=records)

@@ -3,9 +3,10 @@
 The delta pipeline replaces O(world) rebuild/dump/reload cycles with
 O(changes) work at every stage:
 
-- **extract** (:mod:`repro.delta.extract`): turn a snapshot diff or a
-  tracked changelog into an ordered, identity-addressed
-  :class:`DeltaBatch`;
+- **extract** (:mod:`repro.delta.extract`): turn a tracked changelog
+  into an ordered, identity-addressed :class:`DeltaBatch` — the same
+  batch :func:`repro.core.diff.snapshot_diff` computes from two full
+  stores;
 - **apply** (:mod:`repro.delta.apply`): atomically replay a batch into
   a live :class:`~repro.graphdb.store.GraphStore` under one write-lock
   scope and one version bump;
@@ -21,7 +22,7 @@ side is ``repro serve --follow``.
 """
 
 from repro.delta.apply import DeltaApplyError, DeltaApplyResult, apply_delta
-from repro.delta.extract import delta_from_changelog, delta_from_diff, identify
+from repro.delta.extract import delta_from_changelog
 from repro.delta.format import (
     DELTA_MAGIC,
     delta_to_json,
@@ -30,7 +31,7 @@ from repro.delta.format import (
     read_delta_meta,
     save_delta,
 )
-from repro.delta.records import DeltaBatch, DeltaError
+from repro.delta.records import DeltaBatch, DeltaError, identify
 from repro.delta.statistics import refresh_statistics
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "DeltaError",
     "apply_delta",
     "delta_from_changelog",
-    "delta_from_diff",
     "delta_to_json",
     "identify",
     "is_delta_file",

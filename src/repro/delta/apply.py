@@ -148,32 +148,20 @@ def _prevalidate(store: GraphStore, records: Iterable[Mapping[str, Any]]) -> Non
 
 def _tally(
     result: DeltaApplyResult,
-    store: GraphStore,
     rel_type: str,
-    start_id: int,
-    end_id: int,
+    start_labels: Iterable[str],
+    end_labels: Iterable[str],
     sign: int,
 ) -> None:
     """Adjust edge-incidence totals, mirroring ``compute_statistics``:
     each edge counts once per start label (out) and once per end label
     (in); "both" is their sum (self-loops contribute to both sides)."""
     deltas = result.expansion_deltas
-    for label in store.node_labels(start_id):
-        for rel_key in (rel_type, "*"):
-            deltas[(label, rel_key, "out")] = (
-                deltas.get((label, rel_key, "out"), 0) + sign
-            )
-            deltas[(label, rel_key, "both")] = (
-                deltas.get((label, rel_key, "both"), 0) + sign
-            )
-    for label in store.node_labels(end_id):
-        for rel_key in (rel_type, "*"):
-            deltas[(label, rel_key, "in")] = (
-                deltas.get((label, rel_key, "in"), 0) + sign
-            )
-            deltas[(label, rel_key, "both")] = (
-                deltas.get((label, rel_key, "both"), 0) + sign
-            )
+    for labels, direction in ((start_labels, "out"), (end_labels, "in")):
+        for label in labels:
+            for rel_key in (rel_type, "*"):
+                for key in ((label, rel_key, direction), (label, rel_key, "both")):
+                    deltas[key] = deltas.get(key, 0) + sign
 
 
 def apply_delta(store: GraphStore, batch: DeltaBatch) -> DeltaApplyResult:
@@ -209,7 +197,8 @@ def _apply_record(
             raise DeltaApplyError(f"no such node: {key!r}")
         if op == "delete":
             for rel in store.relationships_of(node.id):
-                _tally(result, store, rel.type, rel.start_id, rel.end_id, -1)
+                _tally(result, rel.type, store.node_labels(rel.start_id),
+                       store.node_labels(rel.end_id), -1)
                 result.relationships_deleted += 1
             store.delete_node(node.id, detach=True)
             result.nodes_deleted += 1
@@ -220,6 +209,13 @@ def _apply_record(
                     node.id, {prop: pair[1] for prop, pair in changes.items()}
                 )
             for label in record.get("add_labels") or ():
+                if label in store.node_labels(node.id):
+                    continue
+                # The node's edges now also count towards the new label.
+                for rel in store.relationships_of(node.id):
+                    _tally(result, rel.type,
+                           (label,) if rel.start_id == node.id else (),
+                           (label,) if rel.end_id == node.id else (), +1)
                 store.add_label(node.id, label)
             result.nodes_updated += 1
         return
@@ -232,14 +228,15 @@ def _apply_record(
         if key["dataset"]:
             properties.setdefault("reference_name", key["dataset"])
         store.create_relationship(start.id, key["type"], end.id, properties)
-        _tally(result, store, key["type"], start.id, end.id, +1)
+        _tally(result, key["type"], start.labels, end.labels, +1)
         result.relationships_created += 1
         return
     rel = _resolve_rel(store, key)
     if rel is None:
         raise DeltaApplyError(f"no such relationship: {key!r}")
     if op == "delete":
-        _tally(result, store, rel.type, rel.start_id, rel.end_id, -1)
+        _tally(result, rel.type, store.node_labels(rel.start_id),
+               store.node_labels(rel.end_id), -1)
         store.delete_relationship(rel.id)
         result.relationships_deleted += 1
     else:

@@ -1,134 +1,35 @@
-"""Building :class:`~repro.delta.records.DeltaBatch`es.
+"""Building a :class:`~repro.delta.records.DeltaBatch` from a changelog.
 
-Two constructors, one record format:
-
-- :func:`delta_from_diff` turns a property-level
-  :class:`~repro.core.diff.GraphDiff` between two full stores into an
-  ordered batch — O(world), used by ``repro diff --format json`` and the
-  fuzz suite, where both stores exist anyway.
-- :func:`delta_from_changelog` turns the event stream recorded by
-  :meth:`GraphStore.track_changes` into the same batch in O(changes) —
-  the incremental build path, which never clones or re-scans the world.
-
-Both address entities by ontology identity (see
-:mod:`repro.delta.records`), so the batches are interchangeable.
+:func:`delta_from_changelog` turns the event stream recorded by
+:meth:`GraphStore.track_changes` into an ordered batch in O(changes) —
+the incremental build path, which never clones or re-scans the world.
+Its output is record-for-record identical to
+:func:`repro.core.diff.snapshot_diff` between the window-start store and
+the live one; the fuzz suite holds the two to that, and they share only
+the record helpers of :mod:`repro.delta.records`.
 
 Known limitations (raise :class:`~repro.delta.records.DeltaError` where
 detectable): mutating an entity's *key* property or a relationship's
 ``reference_name`` changes its identity and cannot be expressed as an
-update; diff-based batches cannot see label additions on surviving
-nodes (``GraphDiff`` does not model them — the changelog path does).
+update.  Removing a label from a surviving node cannot be expressed
+either — the format has no remove-label record — so neither extractor
+reports it (the store has no label-removal mutator; only a delete and
+re-create with fewer labels, or two independently built stores, can
+produce one).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.core.diff import (
-    GraphDiff,
-    NodeKey,
-    RelKey,
-    _node_keys,
-    _nodes_by_key,
-    _rel_keys,
+from repro.delta.records import (
+    DeltaBatch,
+    DeltaError,
+    identify,
     property_changes,
-    snapshot_diff,
+    record_order_key,
 )
-from repro.delta.records import DeltaBatch, DeltaError, node_key, record_order_key
 from repro.graphdb.store import ChangeEvent, GraphStore
-from repro.ontology import ENTITIES
-
-
-def identify(labels: Iterable[str], properties: Mapping[str, Any]
-             ) -> dict[str, Any] | None:
-    """The node key of an entity, or None when unidentifiable.
-
-    Mirrors :func:`repro.core.diff.node_identity` — first sorted label
-    known to the ontology whose key property is present — but returns
-    the full ``{"label", "prop", "value"}`` key the delta format needs.
-    """
-    for label in sorted(labels):
-        definition = ENTITIES.get(label)
-        if definition is None:
-            continue
-        prop = definition.key_properties[0]
-        value = properties.get(prop)
-        if value is not None:
-            return node_key(label, prop, value)
-    return None
-
-
-def _node_key_dict(key: NodeKey) -> dict[str, Any]:
-    label, value = key
-    return node_key(label, ENTITIES[label].key_properties[0], value)
-
-
-def _rel_key_dict(key: RelKey) -> dict[str, Any]:
-    start, rel_type, end, dataset = key
-    return {
-        "start": _node_key_dict(start),
-        "type": rel_type,
-        "end": _node_key_dict(end),
-        "dataset": dataset,
-    }
-
-
-def _pairs(changes: Mapping[str, tuple[Any, Any]]) -> dict[str, list[Any]]:
-    return {prop: [before, after] for prop, (before, after)
-            in sorted(changes.items())}
-
-
-def delta_from_diff(
-    old: GraphStore, new: GraphStore, diff: GraphDiff | None = None
-) -> DeltaBatch:
-    """Convert a snapshot diff into an ordered delta batch.
-
-    ``diff`` defaults to ``snapshot_diff(old, new)``; pass one in when
-    the caller already computed it.  Applying the result to ``old``
-    yields a store identity-equivalent to ``new``.
-    """
-    if diff is None:
-        diff = snapshot_diff(old, new)
-    new_node_keys = _node_keys(new)
-    new_by_key = _nodes_by_key(new, new_node_keys)
-    new_rels = _rel_keys(new, new_node_keys)
-    records: list[dict[str, Any]] = []
-    for rkey in diff.relationships_removed:
-        records.append({"op": "delete", "entity": "rel", "key": _rel_key_dict(rkey)})
-    for nkey in diff.nodes_removed:
-        records.append({"op": "delete", "entity": "node",
-                        "key": _node_key_dict(nkey)})
-    for nkey in diff.nodes_added:
-        node = new_by_key[nkey]
-        records.append({
-            "op": "create",
-            "entity": "node",
-            "key": _node_key_dict(nkey),
-            "labels": sorted(node.labels),
-            "properties": dict(node.properties),
-        })
-    for nkey, changes in diff.nodes_modified:
-        key = _node_key_dict(nkey)
-        if key["prop"] in changes:
-            raise DeltaError(f"key property mutation on {nkey!r} "
-                             "cannot be expressed as a delta update")
-        records.append({"op": "update", "entity": "node", "key": key,
-                        "changes": _pairs(changes)})
-    for rkey in diff.relationships_added:
-        records.append({
-            "op": "create",
-            "entity": "rel",
-            "key": _rel_key_dict(rkey),
-            "properties": dict(new_rels[rkey]),
-        })
-    for rkey, changes in diff.relationships_modified:
-        if "reference_name" in changes:
-            raise DeltaError(f"reference_name mutation on {rkey!r} "
-                             "cannot be expressed as a delta update")
-        records.append({"op": "update", "entity": "rel",
-                        "key": _rel_key_dict(rkey), "changes": _pairs(changes)})
-    records.sort(key=record_order_key)
-    return DeltaBatch(records=records)
 
 
 def _rewind(properties: dict[str, Any],
@@ -145,11 +46,8 @@ def _rewind(properties: dict[str, Any],
 
 def _net_changes(merged: Mapping[str, list[Any]]) -> dict[str, list[Any]]:
     """Drop round-trip no-ops (a value changed and changed back)."""
-    return {
-        prop: [before, after]
-        for prop, (before, after) in sorted(merged.items())
-        if before != after or type(before) is not type(after)
-    }
+    return property_changes({prop: pair[0] for prop, pair in merged.items()},
+                            {prop: pair[1] for prop, pair in merged.items()})
 
 
 def delta_from_changelog(
@@ -277,9 +175,8 @@ def delta_from_changelog(
 
     # Canonicalize delete+create pairs under the same identity into
     # updates — that is how diff extraction, which only sees the
-    # endpoints, reports a recreate.  Nodes collapse only when the label
-    # set survives (a label change is not expressible as an update);
-    # relationships always collapse (their dataset is part of the key).
+    # endpoints, reports a recreate.  Labels the recreated node gained
+    # ride on the update; lost labels are not expressible (see above).
     records: list[dict[str, Any]] = []
     paired_del_nodes: set[int] = set()
     paired_new_nodes: set[int] = set()
@@ -294,18 +191,20 @@ def delta_from_changelog(
                                pre_delete_node_changes.get(old_id))
         before_labels = (set(before.labels or ())
                          - set(pre_delete_label_adds.get(old_id, ())))
-        if before_labels != set(node.labels):
-            continue
         paired_del_nodes.add(old_id)
         paired_new_nodes.add(new_id)
-        changes = _pairs(property_changes(before_props, dict(node.properties)))
-        if not changes:
+        changes = property_changes(before_props, node.properties)
+        added = sorted(set(node.labels) - before_labels)
+        if not changes and not added:
             continue
         if key["prop"] in changes:
             raise DeltaError(f"key property mutation on node {new_id} "
                              "cannot be expressed as a delta update")
-        records.append({"op": "update", "entity": "node", "key": key,
-                        "changes": changes})
+        record: dict[str, Any] = {"op": "update", "entity": "node", "key": key,
+                                  "changes": changes}
+        if added:
+            record["add_labels"] = added
+        records.append(record)
     paired_del_rels: set[int] = set()
     paired_new_rels: set[int] = set()
     del_rel_idents = {_rel_ident(k): rid for rid, k in deleted_rel_keys.items()}
@@ -317,8 +216,8 @@ def delta_from_changelog(
         paired_new_rels.add(new_id)
         before_props = _rewind(dict(deleted_rels[old_id].properties or {}),
                                pre_delete_rel_changes.get(old_id))
-        changes = _pairs(property_changes(
-            before_props, dict(store.get_relationship(new_id).properties)))
+        changes = property_changes(
+            before_props, store.get_relationship(new_id).properties)
         if changes:
             records.append({"op": "update", "entity": "rel", "key": key,
                             "changes": changes})
@@ -352,8 +251,8 @@ def delta_from_changelog(
         if key["prop"] in changes:
             raise DeltaError(f"key property mutation on node {node_id} "
                              "cannot be expressed as a delta update")
-        record: dict[str, Any] = {"op": "update", "entity": "node", "key": key,
-                                  "changes": changes}
+        record = {"op": "update", "entity": "node", "key": key,
+                  "changes": changes}
         if adds:
             record["add_labels"] = sorted(adds)
         records.append(record)

@@ -2,9 +2,9 @@
 
 A :class:`DeltaBatch` is the unit the incremental pipeline ships: a
 JSON-safe list of create/update/delete records addressing entities by
-*ontology identity* (the same key properties :mod:`repro.core.diff`
-compares by), never by internal node id — so a batch extracted from one
-store applies cleanly to any store holding the same logical graph.
+*ontology identity* (:func:`identify`), never by internal node id — so
+a batch extracted from one store applies cleanly to any store holding
+the same logical graph.
 
 Record shapes (``key`` is how the target entity is resolved):
 
@@ -12,8 +12,7 @@ Record shapes (``key`` is how the target entity is resolved):
   label and key property.
 - rel key: ``{"start": <node key>, "type", "end": <node key>,
   "dataset"}`` — ``dataset`` is the ``reference_name`` provenance
-  property, so the same semantic link from two datasets stays distinct
-  (mirroring ``RelKey`` in :mod:`repro.core.diff`).
+  property, so the same semantic link from two datasets stays distinct.
 - create records carry ``labels`` + ``properties`` (nodes) or
   ``properties`` (rels); update records carry ``changes`` mapping each
   property to ``[before, after]`` (``after`` null deletes the key) and,
@@ -29,7 +28,9 @@ created relationships always find their endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
+
+from repro.ontology import ENTITIES
 
 #: Format tag embedded in the JSON representation (and the CLI output).
 DELTA_FORMAT = "iyp-delta"
@@ -61,12 +62,44 @@ def node_key(label: str, prop: str, value: Any) -> dict[str, Any]:
     return {"label": label, "prop": prop, "value": value}
 
 
+def identify(labels: Iterable[str], properties: Mapping[str, Any]
+             ) -> dict[str, Any] | None:
+    """The node key of an entity, or None when unidentifiable: the first
+    sorted label known to the ontology whose key property is present."""
+    for label in sorted(labels):
+        definition = ENTITIES.get(label)
+        if definition is None:
+            continue
+        prop = definition.key_properties[0]
+        value = properties.get(prop)
+        if value is not None:
+            return node_key(label, prop, value)
+    return None
+
+
 def rel_key(
     start: Mapping[str, Any], rel_type: str, end: Mapping[str, Any], dataset: str
 ) -> dict[str, Any]:
     """Build a relationship identity key from two node keys."""
     return {"start": dict(start), "type": rel_type, "end": dict(end),
             "dataset": dataset}
+
+
+def property_changes(
+    old: Mapping[str, Any], new: Mapping[str, Any]
+) -> dict[str, list[Any]]:
+    """An update record's ``changes``: prop -> ``[before, after]``, sorted.
+
+    Mirrors the store's update semantics: a value counts as changed when
+    it differs by equality *or* by type (``True`` vs ``1`` is a change).
+    Keys present on one side only report ``None`` for the other.
+    """
+    changes: dict[str, list[Any]] = {}
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key), new.get(key)
+        if before != after or type(before) is not type(after):
+            changes[key] = [before, after]
+    return changes
 
 
 def record_order_key(record: Mapping[str, Any]) -> tuple[int, str]:
@@ -134,6 +167,8 @@ class DeltaBatch:
     @property
     def empty(self) -> bool:
         return not self.records
+
+    unchanged = empty
 
     def counts(self) -> dict[str, int]:
         """``{"node_creates": n, ...}`` per record group, zeros included."""

@@ -313,6 +313,82 @@ class TestQueryExplain:
         assert "LNT007" in out
 
 
+@pytest.fixture
+def diff_snapshots(tmp_path):
+    """Two small saved snapshots: AS1 renamed, AS2 and its link added."""
+    from repro.core import IYP, Reference
+    from repro.graphdb import save_snapshot
+
+    paths = []
+    for version in ("old", "new"):
+        iyp = IYP()
+        ref = Reference("T", "test.bgp")
+        a = iyp.get_node("AS", asn=1)
+        p = iyp.get_node("Prefix", prefix="10.0.0.0/8")
+        iyp.add_link(a, "ORIGINATE", p, reference=ref)
+        iyp.store.update_node(a.id, {"name": f"AS-{version}"})
+        if version == "new":
+            b = iyp.get_node("AS", asn=2)
+            iyp.add_link(b, "ORIGINATE", p, reference=ref)
+        path = tmp_path / f"{version}.iyp2"
+        save_snapshot(iyp.store, path, format=2)
+        paths.append(str(path))
+    return paths
+
+
+class TestDiffCommand:
+    def test_exit_codes(self, diff_snapshots, capsys):
+        old, new = diff_snapshots
+        assert main(["diff", old, old, "--exit-code"]) == 0
+        assert "identical" in capsys.readouterr().out
+        assert main(["diff", old, new]) == 0
+        assert main(["diff", old, new, "--exit-code"]) == 1
+
+    def test_text_summary_names_changed_label(self, diff_snapshots, capsys):
+        old, new = diff_snapshots
+        main(["diff", old, new])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["node_creates:", f"  {'AS':<30} {1:>8,}"]
+        assert f"  {'ORIGINATE':<30} {1:>8,}" in lines
+        assert not any("->" in line for line in lines)  # --verbose only
+
+    def test_verbose_lists_property_change(self, diff_snapshots, capsys):
+        old, new = diff_snapshots
+        main(["diff", old, new, "--verbose"])
+        out = capsys.readouterr().out
+        assert "~ (:AS {asn: 1})" in out
+        assert ".name: 'AS-old' -> 'AS-new'" in out
+
+    def test_json_batch_applies(self, diff_snapshots, capsys):
+        import json
+
+        from repro.core.diff import snapshot_diff
+        from repro.delta import DeltaBatch
+        from repro.graphdb import load_snapshot
+
+        old, new = diff_snapshots
+        assert main(["diff", old, new, "--format", "json"]) == 0
+        batch = DeltaBatch.from_dict(json.loads(capsys.readouterr().out))
+        assert batch.counts()["node_creates"] == 1
+        store = load_snapshot(old)
+        store.apply_delta(batch)
+        assert snapshot_diff(store, load_snapshot(new)).empty
+
+    def test_archive_diff_unknown_label(self, diff_snapshots, tmp_path, capsys):
+        from repro.archive import SnapshotArchive
+        from repro.graphdb import load_snapshot
+
+        archive = SnapshotArchive(tmp_path / "archive")
+        for label, path in zip(("t0", "t1"), diff_snapshots, strict=True):
+            archive.add(load_snapshot(path), label)
+        root = str(archive.root)
+        assert main(["archive", "diff", "t0", "t1", "--dir", root,
+                     "--exit-code"]) == 1
+        assert "node_creates:" in capsys.readouterr().out
+        assert main(["archive", "diff", "t0", "nope", "--dir", root]) == 2
+        assert "nope" in capsys.readouterr().err
+
+
 class TestQualityCommand:
     @staticmethod
     def _archive(tmp_path, created_at=""):

@@ -1,7 +1,7 @@
 """End-to-end incremental ingestion (``repro.delta``).
 
 Covers the whole delta pipeline: record canonicalization, seeded
-random-world fuzz asserting diff → DeltaBatch → ``apply_delta``
+random-world fuzz asserting snapshot_diff → ``apply_delta``
 reproduces the target store exactly, changelog-vs-diff extraction
 equivalence, atomicity and edge cases (delete with dangling endpoints,
 delete-then-recreate under one key), the IYPD binary file, archive
@@ -26,7 +26,6 @@ from repro.delta import (
     DeltaBatch,
     DeltaError,
     delta_from_changelog,
-    delta_from_diff,
     delta_to_json,
     is_delta_file,
     load_delta,
@@ -52,6 +51,10 @@ LABEL_KEYS = (
     ("Prefix", "prefix"),
     ("Tag", "label"),
 )
+
+#: Labels churn adds to surviving nodes.  Each sorts after, or lacks the
+#: key property of, every label above, so node identity never changes.
+EXTRA_LABELS = ("Organization", "Ranking")
 
 DATASETS = ("test.alpha", "test.beta", "test.gamma")
 REL_TYPES = ("ORIGINATE", "NAME", "COUNTRY", "CATEGORIZED")
@@ -119,12 +122,12 @@ def _rel_identities(store: GraphStore) -> set[tuple]:
 
 def mutate(rng: random.Random, store: GraphStore, ops: int = 40) -> None:
     """Random in-place churn that stays inside what deltas model: key
-    properties and surviving nodes' label sets are never touched."""
+    properties are never touched and nodes only ever gain labels."""
     counter = 10_000
     for _ in range(ops):
         node_ids = [node.id for node in store.iter_nodes()]
         rel_ids = [rel.id for rel in store.iter_relationships()]
-        op = rng.randrange(7)
+        op = rng.randrange(8)
         if op == 0:  # create a node under a fresh key
             label, prop = LABEL_KEYS[rng.randrange(len(LABEL_KEYS))]
             store.create_node(
@@ -159,6 +162,8 @@ def mutate(rng: random.Random, store: GraphStore, ops: int = 40) -> None:
             store.delete_node(node.id, detach=True)
             props["weight"] = rng.randrange(100)
             store.create_node(labels, props)
+        elif op == 7 and node_ids:  # add a label to a surviving node
+            store.add_label(rng.choice(node_ids), rng.choice(EXTRA_LABELS))
 
 
 def assert_stores_equivalent(expected: GraphStore, actual: GraphStore) -> None:
@@ -257,7 +262,7 @@ class TestFuzzRoundtrip:
         old = random_store(rng)
         target = copy_store(old)
         mutate(rng, target)
-        batch = delta_from_diff(old, target)
+        batch = snapshot_diff(old, target)
         batch.validate()
         applied = copy_store(old)
         previous = compute_statistics(applied, components=False)
@@ -278,14 +283,14 @@ class TestFuzzRoundtrip:
         with target.track_changes() as events:
             mutate(rng, target)
         from_log = delta_from_changelog(target, events)
-        from_diff = delta_from_diff(old, target)
+        from_diff = snapshot_diff(old, target)
         assert from_log.records == from_diff.records
 
     @pytest.mark.parametrize("seed", range(4))
     def test_empty_delta_for_identical_stores(self, seed):
         rng = random.Random(2000 + seed)
         old = random_store(rng)
-        batch = delta_from_diff(old, copy_store(old))
+        batch = snapshot_diff(old, copy_store(old))
         assert batch.empty
         applied = copy_store(old)
         applied.apply_delta(batch)
@@ -393,7 +398,7 @@ class TestDeltaFile:
         new = copy_store(old)
         (node,) = new.find_nodes("AS", "asn", 1)
         new.update_node(node.id, {"name": "RENAMED"})
-        return delta_from_diff(old, new)
+        return snapshot_diff(old, new)
 
     def test_roundtrip_and_determinism(self, tmp_path):
         batch = self._batch()
@@ -440,13 +445,13 @@ def chain_archive(tmp_path):
     (node,) = step1.find_nodes("AS", "asn", 1)
     step1.update_node(node.id, {"name": "FIRST"})
     archive.add_delta(
-        step1, delta_from_diff(base, step1), "2024-05-08", base="2024-05-01"
+        step1, snapshot_diff(base, step1), "2024-05-08", base="2024-05-01"
     )
 
     step2 = copy_store(step1)
     step2.create_node({"AS"}, {"asn": 3})
     archive.add_delta(
-        step2, delta_from_diff(step1, step2), "2024-05-15", base="2024-05-08"
+        step2, snapshot_diff(step1, step2), "2024-05-15", base="2024-05-08"
     )
     return archive, base, step1, step2
 
@@ -492,7 +497,7 @@ class TestArchiveDeltaChain:
         archive.add(base, "full-1")
         step = copy_store(base)
         step.create_node({"AS"}, {"asn": 9})
-        archive.add_delta(step, delta_from_diff(base, step), "delta-1")
+        archive.add_delta(step, snapshot_diff(base, step), "delta-1")
         manifest = json.loads(archive.manifest_path.read_text())
         for entry in manifest["snapshots"]:
             if entry["label"] == "delta-1":
@@ -526,7 +531,7 @@ class TestServiceApplyDelta:
 
         new = copy_store(base)
         new.create_node({"AS"}, {"asn": 3})
-        body = service.apply_delta(delta_from_diff(base, new), label="gen-2")
+        body = service.apply_delta(snapshot_diff(base, new), label="gen-2")
         assert body["snapshot"] == "gen-2"
         assert service.snapshot_label == "gen-2"
         assert body["applied"]["nodes_created"] == 1
@@ -564,7 +569,7 @@ class TestArchiveWatcher:
 
         new = copy_store(base)
         new.create_node({"AS"}, {"asn": 3})
-        archive.add_delta(new, delta_from_diff(base, new), "gen-2", base="gen-1")
+        archive.add_delta(new, snapshot_diff(base, new), "gen-2", base="gen-1")
 
         assert watcher.check_once() is True
         assert watcher.delta_applies == 1
@@ -591,7 +596,7 @@ class TestArchiveWatcher:
         watcher = ArchiveWatcher(service, archive, follow=False)
         new = copy_store(base)
         new.create_node({"AS"}, {"asn": 3})
-        archive.add_delta(new, delta_from_diff(base, new), "gen-2", base="gen-1")
+        archive.add_delta(new, snapshot_diff(base, new), "gen-2", base="gen-1")
 
         assert watcher.check_once() is True
         assert watcher.swaps == 1  # chain-aware load + full swap

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import IYP, Reference
-from repro.core.diff import node_identity, snapshot_diff
+from repro.core.diff import snapshot_diff
+from repro.delta import delta_from_changelog, identify
+from repro.delta.records import node_key
 from repro.studies.longitudinal import SnapshotSeries
 
 
@@ -19,24 +21,32 @@ def _mini_iyp(with_extra: bool = False) -> IYP:
     return iyp
 
 
+def _group(batch, op, entity):
+    return [r for r in batch if r["op"] == op and r["entity"] == entity]
+
+
+AS1 = node_key("AS", "asn", 1)
+AS2 = node_key("AS", "asn", 2)
+PREFIX = node_key("Prefix", "prefix", "10.0.0.0/8")
+
+
 class TestSnapshotDiff:
     def test_identical_snapshots_unchanged(self):
         diff = snapshot_diff(_mini_iyp().store, _mini_iyp().store)
-        assert diff.unchanged
+        assert diff.unchanged and diff.empty
 
     def test_added_node_and_link(self):
         diff = snapshot_diff(_mini_iyp().store, _mini_iyp(with_extra=True).store)
-        assert diff.nodes_added == [("AS", 2)]
-        assert not diff.nodes_removed
-        assert len(diff.relationships_added) == 1
-        start, rel_type, end, dataset = diff.relationships_added[0]
-        assert start == ("AS", 2) and rel_type == "ORIGINATE"
-        assert end == ("Prefix", "10.0.0.0/8") and dataset == "test.bgp"
+        assert [r["key"] for r in _group(diff, "create", "node")] == [AS2]
+        assert not _group(diff, "delete", "node")
+        [rel] = _group(diff, "create", "rel")
+        assert rel["key"] == {"start": AS2, "type": "ORIGINATE", "end": PREFIX,
+                              "dataset": "test.bgp"}
 
     def test_removed_is_symmetric(self):
         diff = snapshot_diff(_mini_iyp(with_extra=True).store, _mini_iyp().store)
-        assert diff.nodes_removed == [("AS", 2)]
-        assert len(diff.relationships_removed) == 1
+        assert [r["key"] for r in _group(diff, "delete", "node")] == [AS2]
+        assert len(_group(diff, "delete", "rel")) == 1
 
     def test_identity_ignores_internal_ids(self):
         # Build the same content in a different insertion order.
@@ -55,19 +65,19 @@ class TestSnapshotDiff:
         p = right.store.find_nodes("Prefix", "prefix", "10.0.0.0/8")[0]
         right.add_link(a, "ORIGINATE", p, reference=Reference("U", "other.bgp"))
         diff = snapshot_diff(left.store, right.store)
-        assert len(diff.relationships_added) == 1
-        assert diff.relationships_added[0][3] == "other.bgp"
+        [rel] = _group(diff, "create", "rel")
+        assert rel["key"]["dataset"] == "other.bgp"
 
     def test_summary_counts(self):
         diff = snapshot_diff(_mini_iyp().store, _mini_iyp(with_extra=True).store)
-        summary = diff.summary()
-        assert summary["nodes_added"] == {"AS": 1}
-        assert summary["relationships_added"] == {"ORIGINATE": 1}
+        counts = diff.counts()
+        assert counts["node_creates"] == 1 and counts["rel_creates"] == 1
+        assert diff.summary()["records"] == 2
 
-    def test_node_identity(self):
+    def test_identify_node_key(self):
         iyp = _mini_iyp()
         node = iyp.store.find_nodes("AS", "asn", 1)[0]
-        assert node_identity(node) == ("AS", 1)
+        assert identify(node.labels, node.properties) == AS1
 
 
 class TestModifiedEntities:
@@ -80,11 +90,12 @@ class TestModifiedEntities:
         right.store.update_node(node.id, {"name": "RENAMED", "rank": 7})
         diff = snapshot_diff(left.store, right.store)
         assert not diff.unchanged
-        assert not diff.nodes_added and not diff.nodes_removed
-        [(key, changes)] = diff.nodes_modified
-        assert key == ("AS", 1)
-        assert changes["name"] == (None, "RENAMED")
-        assert changes["rank"] == (None, 7)
+        assert not _group(diff, "create", "node")
+        assert not _group(diff, "delete", "node")
+        [record] = _group(diff, "update", "node")
+        assert record["key"] == AS1
+        assert record["changes"]["name"] == [None, "RENAMED"]
+        assert record["changes"]["rank"] == [None, 7]
 
     def test_modified_value_reports_before_and_after(self):
         left = _mini_iyp()
@@ -93,8 +104,8 @@ class TestModifiedEntities:
             node = iyp.store.find_nodes("AS", "asn", 1)[0]
             iyp.store.update_node(node.id, {"rank": rank})
         diff = snapshot_diff(left.store, right.store)
-        [(key, changes)] = diff.nodes_modified
-        assert changes == {"rank": (3, 7)}
+        [record] = _group(diff, "update", "node")
+        assert record["changes"] == {"rank": [3, 7]}
 
     def test_type_change_counts_as_modification(self):
         # 1 == True in Python; the diff must still see the type flip.
@@ -104,8 +115,8 @@ class TestModifiedEntities:
             node = iyp.store.find_nodes("AS", "asn", 1)[0]
             iyp.store.update_node(node.id, {"flag": value})
         diff = snapshot_diff(left.store, right.store)
-        [(_, changes)] = diff.nodes_modified
-        assert changes == {"flag": (1, True)}
+        [record] = _group(diff, "update", "node")
+        assert record["changes"] == {"flag": [1, True]}
 
     def test_modified_relationship_properties(self):
         left = _mini_iyp()
@@ -113,21 +124,35 @@ class TestModifiedEntities:
         rel = next(iter(right.store.iter_relationships()))
         right.store.update_relationship(rel.id, {"count": 9})
         diff = snapshot_diff(left.store, right.store)
-        [(key, changes)] = diff.relationships_modified
-        assert key[1] == "ORIGINATE"
-        assert changes["count"] == (None, 9)
+        [record] = _group(diff, "update", "rel")
+        assert record["key"]["type"] == "ORIGINATE"
+        assert record["changes"]["count"] == [None, 9]
 
     def test_summary_counts_modifications(self):
         left = _mini_iyp()
         right = _mini_iyp()
         node = right.store.find_nodes("AS", "asn", 1)[0]
         right.store.update_node(node.id, {"rank": 7})
-        summary = snapshot_diff(left.store, right.store).summary()
-        assert summary["nodes_modified"] == {"AS": 1}
-        assert summary["relationships_modified"] == {}
+        counts = snapshot_diff(left.store, right.store).counts()
+        assert counts["node_updates"] == 1
+        assert counts["rel_updates"] == 0
 
     def test_unchanged_requires_no_modifications(self):
         assert snapshot_diff(_mini_iyp().store, _mini_iyp().store).unchanged
+
+    def test_label_added_to_surviving_node(self):
+        # (:AS {asn:1}) -> (:AS:Organization {asn:1}) is a change, and
+        # the diff reports it exactly as the changelog extractor does.
+        left = _mini_iyp()
+        right = _mini_iyp()
+        node = right.store.find_nodes("AS", "asn", 1)[0]
+        with right.store.track_changes() as events:
+            right.store.add_label(node.id, "Organization")
+        diff = snapshot_diff(left.store, right.store)
+        assert not diff.unchanged
+        assert diff.records == [{"op": "update", "entity": "node", "key": AS1,
+                                 "changes": {}, "add_labels": ["Organization"]}]
+        assert delta_from_changelog(right.store, events).records == diff.records
 
 
 class TestSeriesFromArchive:
